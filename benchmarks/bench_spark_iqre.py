@@ -2,7 +2,9 @@
 
 Compares the fixed-DOP single-shot execution against the micro-batch
 execution with mid-query shuffle-DOP changes (the runtime-elasticity
-analogue), for the two-way join Q2J.
+analogue), for the two-way join Q2J. Each benchmark runs one untimed
+warm-up round before its timed rounds, so JVM start-up and code generation
+are not counted in the first query that runs.
 """
 import pytest
 
@@ -24,7 +26,7 @@ def test_q2j_single_shot(benchmark, spark, tables):
         df = qdef.spark_impl(spark, {t: tables[t] for t in qdef.tables})
         return df.collect()[0]["cnt"]
 
-    cnt = benchmark.pedantic(run, rounds=1, iterations=1)
+    cnt = benchmark.pedantic(run, warmup_rounds=1, rounds=3)
     assert cnt > 0
 
 
@@ -33,7 +35,7 @@ def test_q2j_microbatch_elastic(benchmark, spark, tables):
         r = run_microbatch(spark, "Q2J", tables, n_batches=4, dop_schedule=[4, 8, 16, 32])
         return r.result.collect()[0]["cnt"]
 
-    cnt = benchmark.pedantic(run, rounds=1, iterations=1)
+    cnt = benchmark.pedantic(run, warmup_rounds=1, rounds=3)
     assert cnt > 0
 
 
@@ -42,5 +44,5 @@ def test_q1_microbatch_elastic(benchmark, spark, tables):
         r = run_microbatch(spark, "Q1", tables, n_batches=3, dop_schedule=[4, 16, 8])
         return r.result.count()
 
-    n = benchmark.pedantic(run, rounds=1, iterations=1)
+    n = benchmark.pedantic(run, warmup_rounds=1, rounds=3)
     assert n >= 1

@@ -71,4 +71,10 @@ class Node:
         self.active_drivers += n
 
     def remove_drivers(self, n: int) -> None:
-        self.active_drivers = max(0, self.active_drivers - n)
+        """Release ``n`` drivers; more than are scheduled here is an
+        accounting error, so it raises instead of clamping at 0."""
+        if n > self.active_drivers:
+            raise ValueError(
+                f"{self.node_id}: removing {n} drivers, only {self.active_drivers} active"
+            )
+        self.active_drivers -= n

@@ -47,10 +47,13 @@ class TestNode:
         n.nic_load_bytes_per_s = 0.625e9
         assert n.nic_utilization() == pytest.approx(0.5)
 
-    def test_remove_drivers_floors_at_zero(self):
+    def test_remove_drivers_raises_on_underflow(self):
         n = Node("n0")
         n.add_drivers(2)
-        n.remove_drivers(5)
+        with pytest.raises(ValueError, match="removing 5 drivers, only 2 active"):
+            n.remove_drivers(5)
+        assert n.active_drivers == 2
+        n.remove_drivers(2)
         assert n.active_drivers == 0
 
 
