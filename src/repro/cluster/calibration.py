@@ -50,6 +50,11 @@ SHUFFLE_EXEC_RATE_MB_S = 183.0
 #: resize interval (§4.2.2) spans several ticks.
 SIM_DT_S = 0.1
 
+#: Elastic-buffer page size, bytes (1 MB, the order of magnitude of
+#: Presto's pages): a buffer starts at one page and grows by one page per
+#: turn-up (§4.2.2).
+PAGE_BYTES = 1_000_000
+
 #: Elastic-buffer consumer-side resize interval, seconds (§4.2.2: "every
 #: 500 milliseconds").
 BUFFER_RESIZE_INTERVAL_S = 0.5

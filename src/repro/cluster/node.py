@@ -4,12 +4,13 @@ The paper's testbed is 21 AWS EC2 c5.2xlarge instances (8 vCPU, 16 GB RAM,
 10 Gbps NIC): 1 coordinator, 10 storage nodes, 10 compute nodes (§6.1).
 A :class:`Node` models exactly the quantities the evaluation depends on:
 core count (CPU saturation — why the paper's "third adjustment for stage 1
-does not enhance throughput"), NIC bandwidth (network-bottleneck detection,
-§5.1), and driver occupancy (the predictor's ``n_f`` cap, §5.3).
+does not enhance throughput") and driver occupancy (the predictor's ``n_f``
+cap, §5.3). Network bottlenecks are modelled per stage, by the executor's
+shuffle-executor caps, not per NIC.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Roles a node can play in the simulated cluster.
 COORDINATOR = "coordinator"
@@ -30,10 +31,7 @@ class Node:
     node_id: str
     role: str = COMPUTE
     cores: int = 8
-    nic_gbps: float = 10.0
     active_drivers: int = 0
-    #: bytes/s of NIC traffic attributed to this node in the current tick.
-    nic_load_bytes_per_s: float = field(default=0.0, repr=False)
 
     def cpu_scale(self) -> float:
         """Per-driver rate multiplier: 1.0 until cores are oversubscribed."""
@@ -46,26 +44,6 @@ class Node:
         if self.cores == 0:
             return 1.0
         return min(1.0, self.active_drivers / self.cores)
-
-    def cpu_headroom_factor(self) -> float:
-        """Max factor by which this node's throughput could still grow.
-
-        Used by the predictor (§5.3): "we can use the remaining CPU
-        resources and the current CPU utilization of the upstream stage to
-        estimate a maximum n_f".
-        """
-        util = self.cpu_utilization()
-        if util <= 0.0:
-            return float(self.cores)
-        return 1.0 / util
-
-    def nic_bytes_per_s(self) -> float:
-        """NIC capacity in bytes/second (10 Gbps -> 1.25 GB/s)."""
-        return self.nic_gbps * 1e9 / 8.0
-
-    def nic_utilization(self) -> float:
-        cap = self.nic_bytes_per_s()
-        return min(1.0, self.nic_load_bytes_per_s / cap) if cap else 1.0
 
     def add_drivers(self, n: int) -> None:
         self.active_drivers += n

@@ -8,8 +8,9 @@ between two collector snapshots. The coordinator walks the stage info tree
 and flags stages whose counters did not move.
 
 Non-computational (network) bottlenecks are flagged from the shuffle-path
-saturation signal (NIC / shuffle-executor bound stages), mirroring the
-coordinator's NIC-utilization check.
+saturation signal: stages whose output has been capped by their shuffle
+executors (the executor's ``shuffle_bound_ticks``), the simulator's
+stand-in for the coordinator's NIC-utilization check.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ def computational_bottlenecks(prev: QueryInfo, cur: QueryInfo) -> list[int]:
 
 
 def network_bottlenecks(cur: QueryInfo) -> list[int]:
-    """Stages whose output is shuffle/NIC bound rather than CPU bound."""
+    """Stages whose output is shuffle-executor bound rather than CPU bound."""
     return sorted(
         sid for sid, s in cur.stages.items() if s.shuffle_bound and not s.finished
     )

@@ -1,8 +1,10 @@
 """Presto-style execution engine substrate + Accordion's runtime elasticity.
 
-Layering (bottom-up): pages/splits -> plan (fragments/stage tree) ->
-pipelines/operators -> buffers -> tasks/stages -> scheduler (static +
-dynamic) -> hashjoin (DOP switching) -> exec_sim (timing data plane).
+Layering (bottom-up): splits -> plan (fragments/stage tree) -> tasks
+(driver count + remote-split set)/stages -> scheduler (static + dynamic)
+-> hashjoin (DOP switching) -> exec_sim (byte-flow timing data plane with
+the elastic buffer). exec_spark runs the same queries on Spark through
+the micro-batch plane in ``repro.spark_iqre``.
 """
 from repro.engine.exec_sim import SimExecutor, SimQuery, StageCost, TuningOutcome
 from repro.engine.plan import StageTree, fragment_plan

@@ -19,11 +19,11 @@ the paper's evaluation depends on:
   DOP switching via a new task group (reshuffle + build, Table 2) while
   the old group keeps probing (Fig. 26).
 
-The *object model* (stages/tasks/drivers/buffers in ``repro.engine``) is
-kept consistent with the flow state at every step, so the control plane
-(scheduler, tuner, filter) operates on real engine structures while the
-byte-flow arithmetic stays cheap enough to simulate thousands of seconds
-in milliseconds.
+The *object model* (stages, tasks and their driver counts in
+``repro.engine``) is kept consistent with the flow state at every step,
+so the control plane (scheduler, tuner, filter) operates on real engine
+structures while the byte-flow arithmetic stays cheap enough to simulate
+thousands of seconds in milliseconds.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ from repro.engine.hashjoin import (
     plan_broadcast_rebuild,
     plan_partitioned_switch,
 )
-from repro.engine.pages import DEFAULT_PAGE_BYTES
 from repro.engine.plan import HASH_JOIN, StageTree
 from repro.engine.scheduler import DynamicScheduler, QueryExecution, schedule_query
 from repro.engine.stage import Stage
@@ -104,14 +103,17 @@ class SimQuery:
 
 @dataclass
 class ByteElasticBuffer:
-    """Byte-volume equivalent of buffers.RuntimeElasticBuffer (§4.2.2).
+    """The runtime elastic buffer (§4.2.2), tracked as a byte volume.
 
-    Same policy at page (1 MB) granularity: start at one page, grow by a
-    page each time the consumer finds it empty (counting turn-ups), and
-    periodically resize to the recent consumption volume.
+    Capacity starts at one page (``calibration.PAGE_BYTES``). Each time
+    the consumer asks for data and finds the buffer empty and not ended,
+    capacity grows by one page and the turn-up counter (§5.1) goes up by
+    one. Every ``BUFFER_RESIZE_INTERVAL_S`` the consumer resets capacity
+    to 1.2x what it took in the last interval, never below one page.
+    Producers push regardless of capacity; they keep to ``free()``.
     """
 
-    capacity: float = float(DEFAULT_PAGE_BYTES)
+    capacity: float = float(cal.PAGE_BYTES)
     level: float = 0.0
     turn_up_counter: int = 0
     ended: bool = False
@@ -131,7 +133,7 @@ class ByteElasticBuffer:
             return 0.0
         if self.level <= _EPS and not self.ended:
             self.turn_up_counter += 1
-            self.capacity += DEFAULT_PAGE_BYTES
+            self.capacity += cal.PAGE_BYTES
             got = self.level
         else:
             got = min(want, self.level)
@@ -143,7 +145,7 @@ class ByteElasticBuffer:
         if now - self._last_resize < cal.BUFFER_RESIZE_INTERVAL_S:
             return
         self._last_resize = now
-        self.capacity = max(float(DEFAULT_PAGE_BYTES), 1.2 * self.consumed_since_resize)
+        self.capacity = max(float(cal.PAGE_BYTES), 1.2 * self.consumed_since_resize)
         self.consumed_since_resize = 0.0
 
     def drained(self) -> bool:
@@ -233,7 +235,6 @@ class SimExecutor:
         self.state_transfers: list[StateTransferRecord] = []
         #: every hash-table (re)construction triggered by DOP tuning.
         self.rebuild_log: list[RebuildOp] = []
-        self.rejections: list[str] = []
         self.done = False
         self.total_time_s: float | None = None
         self._sample_every = 1.0
@@ -407,10 +408,9 @@ class SimExecutor:
             if op is not None and self.t >= op.done_at:
                 # switch the probe side to the new task group (§4.5)
                 st.probing_task_ids = list(op.new_task_ids)
-                old = [t for t in st.stage.tasks if t.task_id in set(st.pending_old_ids)]
-                for task in old:
-                    self.cluster.node(task.node_id).remove_drivers(task.dop)
-                    st.stage.remove_task(task)
+                old = set(st.pending_old_ids)
+                for task in [t for t in st.stage.tasks if t.task_id in old]:
+                    self.sched.retire_task(task)
                 self.state_transfers.append(op.record())
                 st.pending_switch = None
                 st.pending_old_ids = []
@@ -453,7 +453,8 @@ class SimExecutor:
 
     # --------------------------------------------------------- DOP interface
     def set_task_dop(self, stage_id: int, n: int) -> TuningOutcome:
-        """Intra-task runtime DOP tuning (§4.3)."""
+        """Intra-task runtime DOP tuning (§4.3). A DOP below 1 is rejected
+        by the scheduler."""
         st = self.states[stage_id]
         if st.ended:
             return TuningOutcome(False, "stage already finished")
@@ -469,6 +470,8 @@ class SimExecutor:
         st = self.states[stage_id]
         if st.ended:
             return TuningOutcome(False, "stage already finished")
+        if n < 1:
+            return TuningOutcome(False, f"stage DOP must be at least 1, got {n}")
         cur = st.effective_dop()
         if n == cur:
             return TuningOutcome(False, "no-op: requested current DOP")
@@ -498,7 +501,6 @@ class SimExecutor:
                 build_rate_mb_s=st.cost.build_rate_mb_s,
             )
             op.new_task_ids = [t.task_id for t in new_tasks]
-            op.from_cache = True
             self.rebuild_log.append(op)
             st.pending_switch = op
             st.pending_old_ids = old_ids

@@ -27,7 +27,6 @@ class CacheEntry:
     stage_id: int
     bytes: float
     rows: int = 0
-    hits: int = 0
 
 
 @dataclass
@@ -39,12 +38,6 @@ class IntermediateDataCache:
 
     def put(self, stage_id: int, bytes_: float, rows: int = 0) -> None:
         self.entries[stage_id] = CacheEntry(stage_id, bytes_, rows)
-
-    def get(self, stage_id: int) -> CacheEntry | None:
-        e = self.entries.get(stage_id)
-        if e is not None:
-            e.hits += 1
-        return e
 
     def __contains__(self, stage_id: int) -> bool:
         return stage_id in self.entries
@@ -87,7 +80,6 @@ class RebuildOp:
     done_at: float
     #: task ids of the new task group (partitioned) / new tasks (broadcast).
     new_task_ids: list[str] = field(default_factory=list)
-    from_cache: bool = True
 
     @property
     def shuffle_time_s(self) -> float:

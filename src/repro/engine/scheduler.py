@@ -1,22 +1,21 @@
 """Initial scheduling and the dynamic scheduler (§2, §4.3–§4.4).
 
 ``schedule_query`` traverses the stage tree bottom-up, creates tasks for
-each stage, and establishes communication links (remote splits up, buffer
-ids down) — Presto's behaviour, with DOPs fixed before execution.
+each stage, and wires every task to the remote splits of its child-stage
+tasks — Presto's behaviour, with DOPs fixed before execution.
 
 ``DynamicScheduler`` is Accordion's addition: it breaks that early binding
 by spawning/terminating tasks (intra-stage DOP, §4.4) and drivers
 (intra-task DOP, §4.3) at runtime, confining topology changes to the
-upstream/downstream buffers (§4.2). Every control action is charged to the
-RPC model, which is where the paper's scheduling overheads (~tens of ms per
-adjustment, 313 ms initial plan) come from.
+remote-split sets of the neighbouring stages. Every control action is
+charged to the RPC model, which is where the paper's scheduling overheads
+(~tens of ms per adjustment, 313 ms initial plan) come from.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from repro.cluster import Cluster, RpcModel
-from repro.engine.buffers import SharedBuffer, ShuffleBuffer
 from repro.engine.plan import StageTree
 from repro.engine.splits import RemoteSplit
 from repro.engine.stage import Stage
@@ -25,13 +24,11 @@ from repro.engine.task import Task
 
 @dataclass
 class QueryExecution:
-    """A scheduled query: stages, their output buffers, and control-plane
-    accounting."""
+    """A scheduled query: stages and control-plane accounting."""
 
     tree: StageTree
     cluster: Cluster
     stages: dict[int, Stage] = field(default_factory=dict)
-    out_buffers: dict[int, SharedBuffer | ShuffleBuffer] = field(default_factory=dict)
     rpc: RpcModel = field(default_factory=RpcModel)
     rpc_requests: int = 0
     control_time_s: float = 0.0
@@ -64,25 +61,8 @@ class QueryExecution:
         }
 
 
-def _needs_shuffle_buffer(exe: QueryExecution, stage_id: int) -> bool:
-    """A stage needs a shuffle output buffer when its parent consumes it as
-    the input of a partitioned operation (partitioned join side or an
-    explicit shuffle stage)."""
-    parent_id = exe.tree.parent_of(stage_id)
-    if parent_id is None:
-        return False
-    pfrag = exe.tree[parent_id].root
-    from repro.engine.plan import HASH_JOIN, SHUFFLE
-
-    for join in pfrag.find(HASH_JOIN):
-        if join.props.get("partitioned"):
-            return True
-    return bool(pfrag.find(SHUFFLE))
-
-
 def _wire_parent(exe: QueryExecution, child: Stage, task: Task) -> None:
-    """Give the new task's address to every parent-stage task (§4.4 step 2)
-    and a buffer id to the child's output buffer for each parent task."""
+    """Give the new task's address to every parent-stage task (§4.4 step 2)."""
     parent = exe.parent_stage(child.stage_id)
     if parent is None:
         return
@@ -91,19 +71,10 @@ def _wire_parent(exe: QueryExecution, child: Stage, task: Task) -> None:
 
 
 def _wire_children(exe: QueryExecution, stage: Stage, task: Task) -> None:
-    """Set child-stage task addresses on the new task (§4.4 step 3) and
-    allocate it a buffer id in every child's output buffer."""
+    """Set child-stage task addresses on the new task (§4.4 step 3)."""
     for cstage in exe.child_stages(stage.stage_id):
         for ctask in cstage.tasks:
             task.add_upstream(RemoteSplit(ctask.url, ctask.task_id))
-        buf = exe.out_buffers[cstage.stage_id]
-        if isinstance(buf, ShuffleBuffer):
-            if buf.shufflers:
-                buf.shufflers[-1].add_id(task.seq)
-            else:
-                buf.new_group([task.seq])
-        else:
-            buf.add_buffer_id(task.seq)
 
 
 def schedule_query(
@@ -123,6 +94,8 @@ def schedule_query(
     nodes); other stages are placed round-robin on compute nodes.
     Final-agg stages get DOP 1 (§4.1).
     """
+    if task_dop < 1:
+        raise ValueError(f"task DOP must be at least 1, got {task_dop}")
     exe = QueryExecution(tree=tree, cluster=cluster, rpc=rpc or RpcModel())
     pinned_nodes = pinned_nodes or {}
 
@@ -130,9 +103,6 @@ def schedule_query(
         frag = tree[sid]
         stage = Stage(stage_id=sid, fragment=frag)
         exe.stages[sid] = stage
-        exe.out_buffers[sid] = (
-            ShuffleBuffer() if _needs_shuffle_buffer(exe, sid) else SharedBuffer()
-        )
         n_tasks = stage_dop.get(sid, 1) if isinstance(stage_dop, dict) else stage_dop
         for node in cluster.place_tasks(n_tasks, pinned=pinned_nodes.get(sid)):
             task = stage.new_task(node.node_id)
@@ -146,20 +116,11 @@ def schedule_query(
         exe.charge_rpc(8 * n_tasks + 2)
 
     # Final stages: force DOP 1 after generic construction (§4.1).
+    sched = DynamicScheduler(exe)
     for sid in exe.final_stage_ids():
         stage = exe.stages[sid]
         while stage.dop > 1:
-            t = stage.tasks[-1]
-            exe.cluster.node(t.node_id).remove_drivers(t.dop)
-            for cstage in exe.child_stages(sid):
-                buf = exe.out_buffers[cstage.stage_id]
-                if isinstance(buf, ShuffleBuffer):
-                    for sh in buf.shufflers:
-                        if t.seq in sh.buffer_ids:
-                            sh.remove_id(t.seq)
-                elif t.seq in buf.buffer_ids:
-                    buf.remove_buffer_id(t.seq)
-            stage.remove_task(t)
+            sched.retire_task(stage.tasks[-1])
         for t in stage.tasks:
             if t.dop > 1:
                 exe.cluster.node(t.node_id).remove_drivers(t.dop - 1)
@@ -182,6 +143,8 @@ class DynamicScheduler:
         """Change the driver count of every task in the stage. Returns the
         control-plane latency (the paper measures driver generation < 1 ms;
         the cost is the RESTful round trip per task)."""
+        if n < 1:
+            raise ValueError(f"task DOP must be at least 1, got {n}")
         stage = self.exe.stages[stage_id]
         if stage_id in self.exe.final_stage_ids() and n != 1:
             raise ValueError(f"stage {stage_id} holds a final agg; task DOP pinned to 1")
@@ -223,26 +186,21 @@ class DynamicScheduler:
         return new_tasks, cost
 
     def remove_tasks(self, stage_id: int, n: int) -> tuple[list[Task], float]:
-        """§4.4 Decreasing stage DOP: end signals to the child stages'
-        output buffers for the victims' buffer ids; end pages flow through
-        the victims to the parents, which drop their RPC addresses."""
-        stage = self.exe.stages[stage_id]
-        victims = stage.tasks[-n:]
+        """§4.4 Decreasing stage DOP: end signals close the last ``n``
+        tasks; end pages flow through them to the parents."""
+        victims = self.exe.stages[stage_id].tasks[-n:]
         for task in victims:
-            for cstage in self.exe.child_stages(stage_id):
-                buf = self.exe.out_buffers[cstage.stage_id]
-                if isinstance(buf, ShuffleBuffer):
-                    for sh in buf.shufflers:
-                        if task.seq in sh.buffer_ids:
-                            sh.remove_id(task.seq)
-                else:
-                    if task.seq in buf.buffer_ids:
-                        buf.remove_buffer_id(task.seq)
-            parent = self.exe.parent_stage(stage_id)
-            if parent is not None:
-                for ptask in parent.tasks:
-                    ptask.drop_upstream_task(task.task_id)
-            self.exe.cluster.node(task.node_id).remove_drivers(task.dop)
-            stage.remove_task(task)
+            self.retire_task(task)
         cost = self.exe.charge_rpc(2 * n)
         return victims, cost
+
+    def retire_task(self, task: Task) -> None:
+        """Take a task out of its stage: the parent-stage tasks drop its RPC
+        address, its node releases its drivers, and the stage forgets it.
+        Charges no RPC; callers charge what their protocol costs."""
+        parent = self.exe.parent_stage(task.stage_id)
+        if parent is not None:
+            for ptask in parent.tasks:
+                ptask.drop_upstream_task(task.task_id)
+        self.exe.cluster.node(task.node_id).remove_drivers(task.dop)
+        self.exe.stages[task.stage_id].remove_task(task)

@@ -46,7 +46,7 @@ def run() -> dict:
 
     def baseline_snap(t, e):
         # one mid-run snapshot, while the scan's shuffle executors are the
-        # active bottleneck (§5.1's NIC/shuffle check needs a live query)
+        # active bottleneck (§5.1's network check needs a live query)
         if not baseline_mid and t >= 20.0:
             baseline_mid.append(network_bottlenecks(baseline_collector.collect()))
 

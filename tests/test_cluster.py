@@ -29,24 +29,6 @@ class TestNode:
         n.add_drivers(20)
         assert n.cpu_utilization() == 1.0
 
-    def test_cpu_headroom(self):
-        n = Node("n0", cores=8)
-        n.add_drivers(2)
-        assert n.cpu_headroom_factor() == pytest.approx(4.0)
-
-    def test_cpu_headroom_idle(self):
-        n = Node("n0", cores=8)
-        assert n.cpu_headroom_factor() == 8.0
-
-    def test_nic_bytes_per_s(self):
-        n = Node("n0", nic_gbps=10.0)
-        assert n.nic_bytes_per_s() == pytest.approx(1.25e9)
-
-    def test_nic_utilization(self):
-        n = Node("n0", nic_gbps=10.0)
-        n.nic_load_bytes_per_s = 0.625e9
-        assert n.nic_utilization() == pytest.approx(0.5)
-
     def test_remove_drivers_raises_on_underflow(self):
         n = Node("n0")
         n.add_drivers(2)
@@ -70,7 +52,6 @@ class TestCluster:
         c = Cluster.presto_testbed()
         for n in c.nodes:
             assert n.cores == 8
-            assert n.nic_gbps == 10.0
 
     def test_round_robin_placement(self):
         c = Cluster.presto_testbed()
@@ -92,13 +73,6 @@ class TestCluster:
         c = Cluster.presto_testbed()
         with pytest.raises(KeyError):
             c.node("nonexistent")
-
-    def test_charge_nic_spreads_load(self):
-        c = Cluster.presto_testbed()
-        c.charge_nic(["storage0", "storage1"], 1e9)
-        assert c.node("storage0").nic_load_bytes_per_s == pytest.approx(0.5e9)
-        c.reset_nic_loads()
-        assert c.max_nic_utilization() == 0.0
 
     def test_storage_roles(self):
         c = Cluster.presto_testbed()

@@ -1,13 +1,10 @@
-"""Object-level integration: real Page objects flowing through drivers,
-task output buffers, and the end-page shutdown protocol — the engine
-substrate wired together the way a worker would run it (the timing
-simulator abstracts this to byte flows; here the actual protocol runs).
+"""Object-level integration: the scheduler's topology changes seen from the
+tasks a worker would run — remote-split wiring across task removal and
+driver spawning.
 """
 import pytest
 
 from repro.cluster import Cluster
-from repro.engine.buffers import SharedBuffer, ShuffleBuffer
-from repro.engine.pages import Page, end_page
 from repro.engine.plan import fragment_plan
 from repro.engine.scheduler import DynamicScheduler, schedule_query
 from repro.queries.tpch import q2j_plan, q3_plan
@@ -24,65 +21,12 @@ def q3_exe():
     return schedule_query(fragment_plan(q3_plan()), Cluster.presto_testbed())
 
 
-class TestPageFlow:
-    def test_scan_driver_to_output_buffer_to_downstream(self, q3_exe):
-        # stage 4 (orders scan) produces pages; stage 3's task fetches them
-        scan_task = q3_exe.stages[4].tasks[0]
-        driver = scan_task.main_pipeline().new_driver()
-        out = driver.push(Page(rows=100, bytes=1000))
-        assert len(out) == 1  # through table_scan+filter+task_output
-        buf = q3_exe.out_buffers[4]
-        for p in out:
-            buf.put(p)
-        downstream_seq = q3_exe.stages[3].tasks[0].seq
-        got = buf.get(downstream_seq)
-        assert got is not None and got.rows > 0
-
-    def test_filter_selectivity_applied_in_driver(self, q3_exe):
-        # stage 4's fragment filters orders by date (selectivity prop absent
-        # -> defaults to 1.0; set one explicitly through a fresh operator)
-        scan_task = q3_exe.stages[4].tasks[0]
-        driver = scan_task.main_pipeline().new_driver()
-        out = driver.push(Page(rows=10, bytes=100))
-        assert out[0].rows <= 10
-
-    def test_shuffle_buffer_partitions_across_downstream_tasks(self, q2j_exe):
-        # Q2J's scan stages feed a partitioned join through shuffle buffers
-        buf = q2j_exe.out_buffers[2]
-        assert isinstance(buf, ShuffleBuffer)
-        ids = buf.all_buffer_ids()
-        assert len(ids) == 2  # one per S1 task
-        for key in range(10):
-            buf.put(Page(rows=1, bytes=10), key=key)
-        got = [buf.get(i) for i in ids]
-        assert all(g is not None for g in got)
-
-
 class TestEndPageProtocol:
-    def test_end_signal_reaches_every_downstream_task_once(self, q2j_exe):
-        buf = q2j_exe.out_buffers[3]
-        buf.send_end_signal()
-        for bid in buf.all_buffer_ids():
-            assert buf.get(bid).is_end
-            assert buf.get(bid) is None
-
-    def test_driver_close_relays_end_through_all_operators(self, q3_exe):
-        task = q3_exe.stages[2].tasks[0]
-        driver = task.main_pipeline().new_driver()
-        driver.push(Page(rows=5, bytes=50))
-        out = driver.push(end_page())
-        assert driver.finished()
-        assert out[-1].is_end
-
     def test_remove_task_end_to_end(self, q2j_exe):
-        """§4.4 decreasing stage DOP: end signals to child buffers, parents
-        drop the victim's address, buffer ids retired."""
+        """§4.4 decreasing stage DOP: parents drop the victim's address."""
         sched = DynamicScheduler(q2j_exe)
         sched.add_tasks(1, 1)  # S1: 2 -> 3 tasks
         victims, _ = sched.remove_tasks(1, 1)
-        victim_seq = victims[0].seq
-        for cid in (2, 3):
-            assert victim_seq not in q2j_exe.out_buffers[cid].all_buffer_ids()
         for ptask in q2j_exe.stages[0].tasks:
             assert victims[0].task_id not in {
                 s.task_id for s in ptask.upstream_addresses()
@@ -98,26 +42,3 @@ class TestIntraTaskDopObjectLevel:
         task.set_dop(3)
         assert task.dop == 3
         assert task.upstream_addresses() == addrs_before
-
-    def test_drivers_process_independently(self, q3_exe):
-        task = q3_exe.stages[2].tasks[0]
-        task.set_dop(2)
-        d1, d2 = task.main_pipeline().drivers
-        d1.push(Page(rows=10, bytes=100))
-        out2 = d2.push(Page(rows=20, bytes=200))
-        assert out2[0].rows <= 20
-        # closing one driver leaves the other operational
-        task.main_pipeline().remove_driver()
-        assert task.dop == 1
-        assert not d1.finished()
-
-
-class TestSharedBufferDownstreamGrowth:
-    def test_new_parent_task_gets_buffer_id_dynamically(self, q3_exe):
-        # §4.2.1: buffer-ID array adapts when the downstream stage grows
-        sched = DynamicScheduler(q3_exe)
-        buf = q3_exe.out_buffers[4]
-        assert isinstance(buf, SharedBuffer)
-        before = list(buf.buffer_ids)
-        sched.add_tasks(3, 2)
-        assert len(buf.buffer_ids) == len(before) + 2

@@ -4,6 +4,7 @@ import pytest
 from repro.engine import plan as P
 from repro.engine.exec_sim import ByteElasticBuffer, SimExecutor, SimQuery, StageCost
 from repro.engine.plan import fragment_plan
+from repro.queries.tpch import QUERIES
 
 GB = 1e9
 MB = 1e6
@@ -35,6 +36,13 @@ def join_query(probe_bytes=1 * GB, build_bytes=0.2 * GB, *, partitioned,
         3: StageCost(per_driver_rate_mb_s=400.0, scan_bytes=build_bytes),
     }
     return SimQuery("join", tree, costs)
+
+
+def driver_totals(ex):
+    """(drivers the nodes run, drivers the tasks hold) — always equal."""
+    nodes = sum(n.active_drivers for n in ex.cluster.nodes)
+    tasks = sum(t.dop for st in ex.states.values() for t in st.stage.tasks)
+    return nodes, tasks
 
 
 class TestLinearFlow:
@@ -148,6 +156,15 @@ class TestIntraTaskTuning:
         assert not out.applied
         assert "finished" in out.reason
 
+    def test_task_dop_below_one_rejected(self):
+        ex = SimExecutor(QUERIES["Q3"].sim_query(), stage_dop=2, task_dop=2)
+        ex.step()
+        before = driver_totals(ex)
+        out = ex.set_task_dop(1, 0)
+        assert not out.applied and "at least 1" in out.reason
+        assert ex.states[1].stage.task_dop == 2
+        assert driver_totals(ex) == before == (21, 21)
+
 
 class TestIntraStageTuning:
     def test_plain_stage_add_remove(self):
@@ -240,6 +257,30 @@ class TestIntraStageTuning:
         out = ex.set_stage_dop(0, 2)
         assert not out.applied
 
+    def test_stage_dop_below_one_rejected(self):
+        ex = SimExecutor(QUERIES["Q3"].sim_query(), stage_dop=2, task_dop=2)
+        ex.step()
+        out = ex.set_stage_dop(3, 0)
+        assert not out.applied and "at least 1" in out.reason
+        assert ex.states[3].stage.dop == 2
+
+    def test_partitioned_switch_retires_old_group_from_parents(self):
+        # §4.5: once the new task group serves the probes, the parent stage
+        # reads only from it — the old group's addresses are gone
+        ex = SimExecutor(QUERIES["Q2J"].sim_query(), stage_dop=2)
+        while not ex.states[1].built:
+            ex.step()
+        old_ids = {t.task_id for t in ex.states[1].stage.tasks}
+        assert ex.set_stage_dop(1, 4).applied
+        while not ex.state_transfers:
+            ex.step()
+        live = {t.task_id for t in ex.states[1].stage.tasks}
+        assert len(live) == 4 and not live & old_ids
+        for ptask in ex.states[0].stage.tasks:
+            upstream = {s.task_id for s in ptask.upstream_addresses()}
+            assert {tid for tid in upstream if tid.startswith("task1_")} == live
+        assert driver_totals(ex)[0] == driver_totals(ex)[1]
+
 
 class TestShuffleCaps:
     def test_out_shuffle_rate_binds(self):
@@ -301,6 +342,9 @@ class TestRuntimeQueries:
 
 
 class TestByteElasticBuffer:
+    def test_initial_capacity_one_page(self):
+        assert ByteElasticBuffer().capacity == 1 * MB
+
     def test_starvation_grows_capacity(self):
         b = ByteElasticBuffer()
         got = b.take(100.0)
@@ -325,3 +369,13 @@ class TestByteElasticBuffer:
         b.take(50 * MB)
         b.tick(0.6)
         assert b.capacity == pytest.approx(60 * MB)
+
+    def test_resize_waits_for_interval(self):
+        b = ByteElasticBuffer(capacity=5 * MB)
+        b.tick(0.3)  # inside the 500 ms interval: no resize
+        assert b.capacity == 5 * MB
+
+    def test_resize_has_floor_of_one_page(self):
+        b = ByteElasticBuffer(capacity=5 * MB)
+        b.tick(0.6)  # nothing consumed in the interval
+        assert b.capacity == 1 * MB

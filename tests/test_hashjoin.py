@@ -17,19 +17,12 @@ class TestIntermediateDataCache:
     def test_put_get(self):
         c = IntermediateDataCache()
         c.put(3, 1e9, rows=100)
-        e = c.get(3)
+        e = c.entries[3]
+        assert 3 in c
         assert e.bytes == 1e9 and e.rows == 100
-
-    def test_hits_counted(self):
-        c = IntermediateDataCache()
-        c.put(3, 1e9)
-        c.get(3)
-        c.get(3)
-        assert c.entries[3].hits == 2
 
     def test_missing(self):
         c = IntermediateDataCache()
-        assert c.get(9) is None
         assert 9 not in c
 
 

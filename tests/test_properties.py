@@ -3,12 +3,11 @@ import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import calibration as cal
 from repro.engine import plan as P
-from repro.engine.buffers import RuntimeElasticBuffer
-from repro.engine.exec_sim import ByteElasticBuffer
-from repro.engine.operators import Operator
-from repro.engine.pages import Page, end_page, paginate
+from repro.engine.exec_sim import ByteElasticBuffer, SimExecutor
 from repro.engine.splits import SplitSource
+from repro.queries.tpch import QUERIES
 
 # random physical plans: scans at the leaves, joins/filters above, every
 # fragment boundary marked by an exchange (as the optimizer would)
@@ -52,17 +51,6 @@ class TestFragmentationProperties:
                 assert frag.build_source() is not None
 
 
-class TestPaginateProperties:
-    @given(total=st.integers(min_value=1, max_value=50_000_000),
-           rows=st.integers(min_value=1, max_value=100_000))
-    @settings(max_examples=60, deadline=None)
-    def test_bytes_and_rows_conserved(self, total, rows):
-        pages = paginate(total, rows)
-        assert sum(p.bytes for p in pages) == total
-        assert sum(p.rows for p in pages) == rows
-        assert all(not p.is_end for p in pages)
-
-
 class TestSplitProperties:
     @given(n_rows=st.integers(min_value=1, max_value=2000),
            n_nodes=st.integers(min_value=1, max_value=10),
@@ -77,53 +65,7 @@ class TestSplitProperties:
         assert len({s.split_id for s in src.splits}) == len(src)
 
 
-class TestOperatorProperties:
-    @given(pages=st.lists(
-        st.tuples(st.integers(0, 10_000), st.integers(0, 1_000_000)),
-        min_size=0, max_size=30),
-        sel=st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=60, deadline=None)
-    def test_stateless_conservation_bounds(self, pages, sel):
-        op = Operator("filter", selectivity=sel)
-        for rows, nbytes in pages:
-            op.process(Page(rows=rows, bytes=nbytes))
-        out = op.process(end_page())
-        assert out[-1].is_end
-        assert op.rows_out <= op.rows_in
-        assert op.bytes_out <= op.bytes_in
-        assert op.state == "finished"
-
-    @given(pages=st.lists(
-        st.tuples(st.integers(0, 10_000), st.integers(0, 1_000_000)),
-        min_size=1, max_size=30))
-    @settings(max_examples=40, deadline=None)
-    def test_stateful_flushes_everything_at_end(self, pages):
-        op = Operator("final_agg", selectivity=1.0)
-        for rows, nbytes in pages:
-            assert op.process(Page(rows=rows, bytes=nbytes)) == []
-        op.process(end_page())
-        assert op.rows_out == op.rows_in
-
-
 class TestElasticBufferProperties:
-    @given(ops=st.lists(st.sampled_from(["offer", "pull", "tick"]),
-                        min_size=1, max_size=200))
-    @settings(max_examples=40, deadline=None)
-    def test_queue_never_exceeds_capacity_plus_ends(self, ops):
-        b = RuntimeElasticBuffer()
-        t = 0.0
-        for op in ops:
-            if op == "offer":
-                b.offer(Page(rows=1, bytes=100))
-            elif op == "pull":
-                b.pull()
-            else:
-                t += 0.6
-                b.tick(t)
-            data_pages = sum(1 for p in b.queue if not p.is_end)
-            assert data_pages <= b.capacity_pages
-            assert b.capacity_pages >= 1
-
     @given(amounts=st.lists(st.floats(min_value=0.0, max_value=1e8),
                             min_size=1, max_size=50))
     @settings(max_examples=40, deadline=None)
@@ -136,3 +78,69 @@ class TestElasticBufferProperties:
             taken += b.take(a / 2 + 1.0)
         assert taken <= pushed + 1e-6
         assert b.level >= -1e-6
+
+    @given(ops=st.lists(st.tuples(st.sampled_from(["push", "take", "tick", "end"]),
+                                  st.floats(min_value=0.0, max_value=5e6)),
+                        min_size=1, max_size=200))
+    @settings(max_examples=60, deadline=None)
+    def test_byte_buffer_random_ops(self, ops):
+        b = ByteElasticBuffer()
+        t = 0.0
+        for op, amount in ops:
+            turn_ups = b.turn_up_counter
+            if op == "push":
+                b.push(amount)
+            elif op == "take":
+                starving = amount > 0 and b.drained() and not b.ended
+                level = b.level
+                got = b.take(amount)
+                # a starving take hands over the sub-epsilon residue, even
+                # past ``want``; any other take is bounded by ``want``
+                assert 0.0 <= got <= (level if starving else min(amount, level))
+                assert b.turn_up_counter == turn_ups + starving
+            elif op == "tick":
+                t += amount / 1e7  # 0-0.5 s: some ticks resize, some wait
+                b.tick(t)
+            else:
+                b.ended = True
+            if op != "take":
+                assert b.turn_up_counter == turn_ups
+            assert b.capacity >= cal.PAGE_BYTES
+            assert b.level >= 0.0
+
+
+def _check_engine_invariants(ex):
+    nodes = sum(n.active_drivers for n in ex.cluster.nodes)
+    tasks = sum(t.dop for s in ex.exe.stages.values() for t in s.tasks)
+    assert nodes == tasks
+    for sid, stage in ex.exe.stages.items():
+        live = {t.task_id for c in ex.exe.child_stages(sid) for t in c.tasks}
+        for task in stage.tasks:
+            assert {s.task_id for s in task.upstream_addresses()} == live
+
+
+# (ticks to wait, stage-level?, stage index, new DOP)
+_requests = st.lists(
+    st.tuples(st.integers(0, 400), st.booleans(), st.integers(0, 7), st.integers(0, 12)),
+    min_size=1, max_size=6,
+)
+
+
+class TestDopRequestProperties:
+    @given(query=st.sampled_from(["Q3", "Q2J", "QSHUF"]), requests=_requests)
+    @settings(max_examples=25, deadline=None)
+    def test_random_dop_requests_keep_engine_invariants(self, query, requests):
+        ex = SimExecutor(QUERIES[query].sim_query(), stage_dop=2)
+        sids = sorted(ex.states)
+        _check_engine_invariants(ex)
+        for wait, stage_level, idx, dop in requests:
+            for _ in range(wait):
+                ex.step()
+            sid = sids[idx % len(sids)]
+            request = ex.set_stage_dop if stage_level else ex.set_task_dop
+            out = request(sid, dop)
+            assert out.applied or out.reason
+            _check_engine_invariants(ex)
+        ex.run(max_s=20_000.0)
+        assert ex.done
+        _check_engine_invariants(ex)

@@ -2,7 +2,6 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.engine.buffers import ShuffleBuffer, SharedBuffer
 from repro.engine.plan import fragment_plan
 from repro.engine.scheduler import DynamicScheduler, schedule_query
 from repro.queries.tpch import q2j_plan, q3_plan
@@ -12,12 +11,6 @@ def _q3_exe(stage_dop=1, task_dop=1):
     return schedule_query(
         fragment_plan(q3_plan()), Cluster.presto_testbed(),
         stage_dop=stage_dop, task_dop=task_dop,
-    )
-
-
-def _q2j_exe(stage_dop=2):
-    return schedule_query(
-        fragment_plan(q2j_plan()), Cluster.presto_testbed(), stage_dop=stage_dop
     )
 
 
@@ -58,15 +51,9 @@ class TestScheduleQuery:
         upstream_ids = {s.task_id for s in s1_task.upstream_addresses()}
         assert {"task2_0", "task2_1", "task3_0", "task3_1"} <= upstream_ids
 
-    def test_partitioned_join_children_get_shuffle_buffers(self):
-        exe = _q2j_exe()
-        assert isinstance(exe.out_buffers[2], ShuffleBuffer)
-        assert isinstance(exe.out_buffers[3], ShuffleBuffer)
-        assert isinstance(exe.out_buffers[1], SharedBuffer)
-
-    def test_broadcast_join_children_get_shared_buffers(self):
-        exe = _q3_exe()
-        assert isinstance(exe.out_buffers[2], SharedBuffer)
+    def test_rejects_task_dop_below_one(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            _q3_exe(task_dop=0)
 
     def test_init_rpc_accounting(self):
         # paper Q3: 65 requests, ~313 ms (1–10 ms each)
@@ -97,6 +84,14 @@ class TestDynamicScheduler:
         DynamicScheduler(exe).set_task_dop(1, 5)
         assert exe.cluster.node(node_id).active_drivers == before + 4
 
+    def test_set_task_dop_below_one_raises(self):
+        exe = _q3_exe(stage_dop=2, task_dop=2)
+        before = sum(n.active_drivers for n in exe.cluster.nodes)
+        with pytest.raises(ValueError, match="at least 1"):
+            DynamicScheduler(exe).set_task_dop(1, 0)
+        assert exe.stages[1].task_dop == 2
+        assert sum(n.active_drivers for n in exe.cluster.nodes) == before
+
     def test_set_task_dop_final_stage_rejected(self):
         exe = _q3_exe()
         with pytest.raises(ValueError):
@@ -121,13 +116,6 @@ class TestDynamicScheduler:
         exe = _q3_exe()
         with pytest.raises(ValueError):
             DynamicScheduler(exe).add_tasks(0, 1)
-
-    def test_add_tasks_allocates_buffer_ids(self):
-        exe = _q2j_exe()
-        sched = DynamicScheduler(exe)
-        before = len(exe.out_buffers[2].all_buffer_ids())
-        sched.add_tasks(1, 2)
-        assert len(exe.out_buffers[2].all_buffer_ids()) == before + 2
 
     def test_remove_tasks_drops_addresses(self):
         # §4.4: end signal path — parents delete the victim's RPC address
