@@ -35,6 +35,26 @@ ALL_KINDS = {
     FINAL_AGG, TOPN, EXCHANGE, LOCAL_EXCHANGE, OUTPUT, REMOTE_SOURCE, SHUFFLE,
 }
 
+# ------------------------------------------------------ §4.1 classification
+#: Operator kinds whose DOP may be tuned freely. Partial aggregation counts
+#: as stateless: its state can be destroyed and rebuilt (two-phase model).
+STATELESS_KINDS = {
+    "filter", "project", "sink", "source", "exchange", "task_output",
+    "table_scan", "partial_agg", "shuffle", "probe", "topn_partial",
+}
+#: Operator kinds that pin the parallelism of their task and stage. A join's
+#: build side is rebuilt on a DOP change instead (§4.5), so only final
+#: aggregation and top-N pin a stage (``Fragment.pins_parallelism``).
+STATEFUL_KINDS = {"final_agg", "build", "cross_join_build", "topn"}
+
+
+def is_stateless(kind: str) -> bool:
+    if kind in STATELESS_KINDS:
+        return True
+    if kind in STATEFUL_KINDS:
+        return False
+    raise ValueError(f"unclassified operator kind: {kind}")
+
 
 @dataclass
 class PlanNode:
@@ -139,6 +159,11 @@ class Fragment:
 
     def is_scan(self) -> bool:
         return bool(self.root.find(TABLE_SCAN))
+
+    def pins_parallelism(self) -> bool:
+        """§4.1: a stateful plan node (final aggregation, top-N) fixes the
+        stage's DOP and its tasks' DOP at 1."""
+        return any(n.kind in STATEFUL_KINDS for n in self.root.walk())
 
     def is_shuffle(self) -> bool:
         return bool(self.root.find(SHUFFLE))

@@ -50,15 +50,9 @@ class QueryExecution:
         return [self.stages[c] for c in self.tree.children_of(stage_id)]
 
     def final_stage_ids(self) -> set[int]:
-        """Stages whose fragment holds a final aggregation — parallelism
-        pinned to 1 (§4.1)."""
-        from repro.engine.plan import FINAL_AGG, TOPN
-
-        return {
-            sid
-            for sid, st in self.stages.items()
-            if st.fragment.root.find(FINAL_AGG) or st.fragment.root.find(TOPN)
-        }
+        """Stages whose fragment holds a final aggregation or top-N —
+        parallelism pinned to 1 (§4.1)."""
+        return {sid for sid, st in self.stages.items() if st.fragment.pins_parallelism()}
 
 
 def _wire_parent(exe: QueryExecution, child: Stage, task: Task) -> None:

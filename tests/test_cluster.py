@@ -29,6 +29,22 @@ class TestNode:
         n.add_drivers(20)
         assert n.cpu_utilization() == 1.0
 
+    def test_cpu_headroom(self):
+        # 2 of 8 cores busy: 6 more drivers still run at full speed, the
+        # seventh starts time-slicing
+        n = Node("n0", cores=8)
+        n.add_drivers(2)
+        assert n.cpu_utilization() == pytest.approx(0.25)
+        n.add_drivers(6)
+        assert n.cpu_scale() == 1.0
+        n.add_drivers(1)
+        assert n.cpu_scale() == pytest.approx(8 / 9)
+
+    def test_cpu_headroom_idle(self):
+        n = Node("n0", cores=8)
+        assert n.cpu_utilization() == 0.0
+        assert n.cpu_scale() == 1.0
+
     def test_remove_drivers_raises_on_underflow(self):
         n = Node("n0")
         n.add_drivers(2)

@@ -342,9 +342,6 @@ class TestRuntimeQueries:
 
 
 class TestByteElasticBuffer:
-    def test_initial_capacity_one_page(self):
-        assert ByteElasticBuffer().capacity == 1 * MB
-
     def test_starvation_grows_capacity(self):
         b = ByteElasticBuffer()
         got = b.take(100.0)
@@ -369,13 +366,3 @@ class TestByteElasticBuffer:
         b.take(50 * MB)
         b.tick(0.6)
         assert b.capacity == pytest.approx(60 * MB)
-
-    def test_resize_waits_for_interval(self):
-        b = ByteElasticBuffer(capacity=5 * MB)
-        b.tick(0.3)  # inside the 500 ms interval: no resize
-        assert b.capacity == 5 * MB
-
-    def test_resize_has_floor_of_one_page(self):
-        b = ByteElasticBuffer(capacity=5 * MB)
-        b.tick(0.6)  # nothing consumed in the interval
-        assert b.capacity == 1 * MB

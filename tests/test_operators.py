@@ -1,16 +1,11 @@
-"""Tests for operator lifecycle and the end-page relay (repro.engine.operators)."""
+"""Tests for the §4.1 operator classification (repro.engine.plan) and the
+stage pinning the scheduler derives from it."""
 import pytest
 
-from repro.engine.operators import (
-    FINISHED,
-    STATEFUL_KINDS,
-    STATELESS_KINDS,
-    UNFINISHED,
-    Operator,
-    OperatorFactory,
-    is_stateless,
-)
-from repro.engine.pages import Page, end_page
+from repro.cluster import Cluster
+from repro.engine.plan import STATEFUL_KINDS, STATELESS_KINDS, fragment_plan, is_stateless
+from repro.engine.scheduler import schedule_query
+from repro.queries.tpch import q2j_plan, q3_plan
 
 
 class TestClassification:
@@ -37,68 +32,11 @@ class TestClassification:
         for k in ("final_agg", "build"):
             assert not is_stateless(k)
 
-
-class TestStatelessOperator:
-    def test_passthrough(self):
-        op = Operator("filter", selectivity=0.5)
-        out = op.process(Page(rows=100, bytes=1000))
-        assert len(out) == 1
-        assert out[0].rows == 50 and out[0].bytes == 500
-        assert op.state == UNFINISHED
-
-    def test_counters(self):
-        op = Operator("project")
-        op.process(Page(rows=10, bytes=100))
-        op.process(Page(rows=5, bytes=50))
-        assert op.rows_in == 15 and op.bytes_in == 150
-        assert op.rows_out == 15 and op.bytes_out == 150
-
-    def test_end_page_finishes_and_relays(self):
-        # Fig. 13: stateless -> finished immediately, relay end page
-        op = Operator("filter")
-        out = op.process(end_page())
-        assert op.state == FINISHED
-        assert len(out) == 1 and out[0].is_end
-
-    def test_fully_filtered_page_emits_nothing(self):
-        op = Operator("filter", selectivity=0.0)
-        assert op.process(Page(rows=10, bytes=100)) == []
-
-    def test_page_after_finish_raises(self):
-        op = Operator("filter")
-        op.process(end_page())
-        with pytest.raises(RuntimeError):
-            op.process(Page(rows=1, bytes=1))
-
-
-class TestStatefulOperator:
-    def test_holds_output_until_end(self):
-        # Fig. 13: stateful waits until all results are output
-        op = Operator("final_agg", selectivity=0.1)
-        assert op.process(Page(rows=100, bytes=1000)) == []
-        assert op.rows_out == 0
-
-    def test_flushes_then_relays_end(self):
-        op = Operator("final_agg", selectivity=0.1)
-        op.process(Page(rows=100, bytes=1000))
-        op.process(Page(rows=100, bytes=1000))
-        out = op.process(end_page())
-        assert op.state == FINISHED
-        assert [p.is_end for p in out] == [False, False, True]
-        assert op.rows_out == 20
-
-    def test_build_operator_is_sink(self):
-        op = Operator("build", selectivity=1.0)
-        op.process(Page(rows=10, bytes=100))
-        out = op.process(end_page())
-        # hash-table build flushes its (held) pages then the end page
-        assert out[-1].is_end
-
-
-class TestOperatorFactory:
-    def test_creates_operators_and_counts(self):
-        f = OperatorFactory("probe", selectivity=0.3)
-        a, b = f.create(), f.create()
-        assert f.created == 2
-        assert a is not b
-        assert a.selectivity == 0.3
+    @pytest.mark.parametrize("plan", [q3_plan, q2j_plan])
+    def test_only_final_stage_pins_parallelism(self, plan):
+        # final agg / top-N pin their stage; join stages are rebuilt (§4.5)
+        tree = fragment_plan(plan())
+        pinned = {sid for sid in tree.stage_ids() if tree[sid].pins_parallelism()}
+        assert pinned == {tree.root_id}
+        exe = schedule_query(tree, Cluster.presto_testbed(), stage_dop=2)
+        assert exe.final_stage_ids() == pinned

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for the engine substrate invariants."""
 import pandas as pd
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +84,34 @@ class TestElasticBufferProperties:
                                   st.floats(min_value=0.0, max_value=5e6)),
                         min_size=1, max_size=200))
     @settings(max_examples=60, deadline=None)
+    def test_queue_never_exceeds_capacity_plus_ends(self, ops):
+        # a producer that keeps to free() (as every stage does) never lifts
+        # the level past capacity; an end adds no bytes. A resize may cut
+        # capacity below the level; free() is then 0 until the consumer
+        # drains the backlog.
+        b = ByteElasticBuffer()
+        t = 0.0
+        for op, amount in ops:
+            before = b.level
+            if op == "push":
+                b.push(min(amount, b.free()))
+                assert b.level <= max(b.capacity, before)
+            elif op == "take":
+                b.take(amount)
+                assert b.level <= before
+            elif op == "tick":
+                t += amount / 1e7
+                b.tick(t)
+            else:
+                b.ended = True
+                assert b.level == before
+            if b.level > b.capacity:
+                assert b.free() == 0.0
+
+    @given(ops=st.lists(st.tuples(st.sampled_from(["push", "take", "tick", "end"]),
+                                  st.floats(min_value=0.0, max_value=5e6)),
+                        min_size=1, max_size=200))
+    @settings(max_examples=60, deadline=None)
     def test_byte_buffer_random_ops(self, ops):
         b = ByteElasticBuffer()
         t = 0.0
@@ -107,6 +136,69 @@ class TestElasticBufferProperties:
                 assert b.turn_up_counter == turn_ups
             assert b.capacity >= cal.PAGE_BYTES
             assert b.level >= 0.0
+
+
+def _check_conservation(ex):
+    """Bytes are neither made nor lost: each stage emits its input scaled by
+    its selectivity, and what the producers of a buffer emitted is what its
+    consumer took plus what the buffer still holds."""
+    for sid, s in ex.states.items():
+        assert s.produced == pytest.approx(s.consumed * s.cost.selectivity)
+        assert s.consumed <= s.expected_in * (1 + 1e-9) + 1.0
+        if s.is_scan:
+            continue
+        fed = [ex.states[c.child_stage_id].produced
+               for c in ex.query.tree[sid].sources if c.role != "build"]
+        assert sum(fed) == pytest.approx(s.consumed + s.in_buf.level, rel=1e-9, abs=1.0)
+        if s.build_buf is not None:
+            built = [ex.states[c.child_stage_id].produced
+                     for c in ex.query.tree[sid].sources if c.role == "build"]
+            assert sum(built) == pytest.approx(
+                s.build_received + s.build_buf.level, rel=1e-9, abs=1.0)
+
+
+class TestOperatorProperties:
+    @given(query=st.sampled_from(["Q3", "Q2J", "QSHUF"]),
+           requests=st.lists(st.tuples(st.integers(0, 400), st.booleans(),
+                                       st.integers(0, 7), st.integers(1, 12)),
+                             min_size=1, max_size=6))
+    @settings(max_examples=20, deadline=None)
+    def test_stateless_conservation_bounds(self, query, requests):
+        ex = SimExecutor(QUERIES[query].sim_query(), stage_dop=2)
+        sids = sorted(ex.states)
+        for wait, stage_level, idx, dop in requests:
+            for _ in range(wait):
+                ex.step()
+            _check_conservation(ex)
+            sid = sids[idx % len(sids)]
+            (ex.set_stage_dop if stage_level else ex.set_task_dop)(sid, dop)
+            _check_conservation(ex)
+
+    @given(query=st.sampled_from(["Q3", "Q2J", "QSHUF"]),
+           requests=st.lists(st.tuples(st.integers(0, 400), st.booleans(),
+                                       st.integers(0, 7), st.integers(1, 12)),
+                             max_size=4))
+    @settings(max_examples=10, deadline=None)
+    def test_stateful_flushes_everything_at_end(self, query, requests):
+        # whatever DOP changes happen on the way, at the end every stage has
+        # consumed its whole input, every join its whole build side, and no
+        # buffer holds anything
+        ex = SimExecutor(QUERIES[query].sim_query(), stage_dop=2)
+        sids = sorted(ex.states)
+        for wait, stage_level, idx, dop in requests:
+            for _ in range(wait):
+                ex.step()
+            sid = sids[idx % len(sids)]
+            (ex.set_stage_dop if stage_level else ex.set_task_dop)(sid, dop)
+        ex.run(max_s=20_000.0)
+        _check_conservation(ex)
+        for s in ex.states.values():
+            assert s.ended
+            assert s.consumed == pytest.approx(s.expected_in, rel=1e-6)
+            assert s.in_buf.drained()
+            if s.build_buf is not None:
+                assert s.build_received == pytest.approx(s.expected_build, rel=1e-6)
+                assert s.build_buf.drained()
 
 
 def _check_engine_invariants(ex):

@@ -14,6 +14,16 @@ def _q3_exe(stage_dop=1, task_dop=1):
     )
 
 
+def _q2j_exe(stage_dop=2):
+    return schedule_query(
+        fragment_plan(q2j_plan()), Cluster.presto_testbed(), stage_dop=stage_dop
+    )
+
+
+def _upstream(task):
+    return {s.task_id for s in task.upstream_addresses()}
+
+
 class TestScheduleQuery:
     def test_all_stages_scheduled(self):
         exe = _q3_exe()
@@ -50,6 +60,27 @@ class TestScheduleQuery:
         s1_task = exe.stages[1].tasks[0]
         upstream_ids = {s.task_id for s in s1_task.upstream_addresses()}
         assert {"task2_0", "task2_1", "task3_0", "task3_1"} <= upstream_ids
+
+    def test_partitioned_join_children_get_shuffle_buffers(self):
+        # a partitioned join's inputs are shuffled: every join task reads
+        # from exactly the tasks of both child stages
+        exe = _q2j_exe()
+        (join,) = exe.tree[1].root.find("hash_join")
+        assert join.props["partitioned"]
+        children = {t.task_id for cid in (2, 3) for t in exe.stages[cid].tasks}
+        assert len(children) == 4
+        for task in exe.stages[1].tasks:
+            assert _upstream(task) == children
+
+    def test_broadcast_join_children_get_shared_buffers(self):
+        # a broadcast join's build side reaches every join task whole
+        exe = _q3_exe(stage_dop=2)
+        (join,) = exe.tree[3].root.find("hash_join")
+        assert not join.props["partitioned"]
+        build = {t.task_id for t in exe.stages[5].tasks}
+        for task in exe.stages[3].tasks:
+            assert build <= _upstream(task)
+            assert _upstream(task) == build | {t.task_id for t in exe.stages[4].tasks}
 
     def test_rejects_task_dop_below_one(self):
         with pytest.raises(ValueError, match="at least 1"):
@@ -116,6 +147,19 @@ class TestDynamicScheduler:
         exe = _q3_exe()
         with pytest.raises(ValueError):
             DynamicScheduler(exe).add_tasks(0, 1)
+
+    def test_add_tasks_allocates_buffer_ids(self):
+        # §4.4 steps 2-3: new tasks are wired to every child task, and the
+        # parent stage gets their addresses
+        exe = _q2j_exe()
+        sched = DynamicScheduler(exe)
+        before = exe.rpc_requests
+        new, _ = sched.add_tasks(1, 2)
+        assert exe.rpc_requests == before + 2 + 2
+        children = {t.task_id for cid in (2, 3) for t in exe.stages[cid].tasks}
+        for task in new:
+            assert _upstream(task) == children
+        assert _upstream(exe.stages[0].tasks[0]) == {t.task_id for t in exe.stages[1].tasks}
 
     def test_remove_tasks_drops_addresses(self):
         # §4.4: end signal path — parents delete the victim's RPC address
